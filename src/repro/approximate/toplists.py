@@ -64,11 +64,11 @@ def cumulative_matrix_T(
 
     Row ``j`` holds every object's cumulative at breakpoint ``j``, so
     batched builders difference whole *rows* (contiguous lanes).
-    Values come from the store's grid kernel — bit-identical to
-    ``cumulative_at_many`` without the ``(q, m)`` broadcast bisection.
+    Values come from the store's ``cumulative_at_many`` kernel, whose
+    rows are bit-identical to the per-time ``cumulative_at``.
     """
     store = database.store()
-    grid = store.cumulative_at_grid(np.asarray(breakpoint_times))
+    grid = store.cumulative_at_many(np.asarray(breakpoint_times))
     return store.object_ids, grid
 
 

@@ -61,11 +61,6 @@ from repro.core.results import TopKResult, top_k_from_arrays
 #: bounds peak memory of (q, m) broadcasts to ~a few hundred MB.
 _CHUNK_ELEMENTS = 4 << 20
 
-#: Chunk sizes at or above this locate pieces via the count-matrix
-#: pass (one global searchsorted + histogram cumsum) instead of the
-#: broadcast bisection; results are bit-identical, only speed differs.
-_COUNT_LOCATE_MIN_QUERIES = 16
-
 
 def isin_sorted(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Exact membership of each query in an ascending-sorted array.
@@ -91,7 +86,9 @@ class CSRView:
     platforms and is inherited copy-on-write under fork.  It exposes
     the two primitives the parallel BREAKPOINTS2 sweep fans out —
     both over an optional contiguous object range ``[lo, hi)``, so
-    each worker computes only its own slice.
+    each worker computes only its own slice — and the multi-time
+    piece locate (:meth:`locate_grid`) every batched query kernel
+    runs.
 
     The arithmetic here *is* the store's (:class:`PLFStore` delegates
     to its cached view), and every operation is elementwise per
@@ -108,6 +105,7 @@ class CSRView:
         "ends",
         "totals",
         "segment",
+        "_knot_obj",
     )
 
     def __init__(
@@ -133,6 +131,9 @@ class CSRView:
         # in memory.  Segment-backed views pickle as just this path —
         # see __reduce__ — so process fan-out ships no array bytes.
         self.segment = segment
+        # Owning object of every knot, built on the first locate_grid
+        # call; derived, so __reduce__ never ships it.
+        self._knot_obj: Optional[np.ndarray] = None
 
     def __reduce__(self):
         if self.segment is not None:
@@ -167,7 +168,9 @@ class CSRView:
         ``knot_times[j] <= tc`` — the same piece the scalar
         ``searchsorted(times, t, "right") - 1`` selects.  Implemented
         as a shared bisection over the CSR arrays: ``O(log max_n)``
-        vectorized rounds instead of per-object Python searches.
+        vectorized rounds instead of per-object Python searches.  Only
+        the single-time and object-range primitives use it; a vector
+        of times for all objects goes through :meth:`locate_grid`.
         """
         shape = tc.shape
         low = np.broadcast_to(self.offsets[lo:hi], shape).copy()
@@ -186,35 +189,44 @@ class CSRView:
             high[go_down] = mid[go_down] - 1
         return low
 
-    def locate_grid(self, tc: np.ndarray) -> np.ndarray:
-        """:meth:`_locate` for a clamped ``(q, m)`` grid of times.
+    def locate_grid(self, ts: np.ndarray) -> np.ndarray:
+        """Piece of every object at every time: ``(q, m)`` from ``(q,)``.
 
-        Identical index selection (largest segment-left knot with time
-        <= ``tc``, clamped to the object's piece range) computed with
-        one ``searchsorted`` per object over its own knots instead of
-        the ``(q, m)`` broadcast bisection — much faster when ``q``
-        is small relative to the knot counts, exactly like
-        :meth:`PLFStore.cumulative_at_grid`.  The batched query
-        pipelines (EXACT3, instant) locate whole workloads with this.
+        ``located[r, i]`` is the flat index of the segment-left knot of
+        object ``i``'s piece at ``ts[r]``: the scalar
+        ``searchsorted(times_i, t, "right") - 1`` clamped into the
+        object's piece range, i.e. :meth:`_locate`'s selection for
+        every in-span time.  Out-of-span times land on the first/last
+        piece, whose value the callers' boundary masks replace.  Times
+        need not be sorted or distinct.
+
+        One count-matrix pass instead of per-object searches: a global
+        ``searchsorted`` ranks every knot among the sorted times, and a
+        per-object histogram of those ranks, cumsummed, gives
+        ``#{knots of i with time <= ts[r]}`` for every pair (a knot
+        counts for rank ``r`` iff at most ``r`` sorted times lie
+        strictly below it; no knot ranks strictly inside a run of equal
+        times, so duplicates get equal counts).
         """
-        q, m = tc.shape
-        located = np.empty((m, q), dtype=np.int64)
-        knot_times = self.knot_times
-        offsets = self.offsets.tolist()
-        # Transposed so every per-object searchsorted reads and writes
-        # one contiguous lane.
-        tc_t = np.ascontiguousarray(tc.T)
-        for i in range(m):
-            lo = offsets[i]
-            hi = offsets[i + 1]
-            row = located[i]
-            np.add(
-                knot_times[lo:hi].searchsorted(tc_t[i], "right"),
-                lo - 1,
-                out=row,
+        ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
+        q = ts.size
+        m = self.num_objects
+        order = np.argsort(ts, kind="stable")
+        ranks = np.empty(q, dtype=np.int64)
+        ranks[order] = np.arange(q, dtype=np.int64)
+        if self._knot_obj is None:
+            self._knot_obj = np.repeat(
+                np.arange(m, dtype=np.int64), np.diff(self.offsets)
             )
-            np.clip(row, lo, hi - 2, out=row)
-        return located.T
+        # Histogram bin of every knot: (owner, rank among the times).
+        bins = np.searchsorted(ts[order], self.knot_times, side="left")
+        bins += self._knot_obj * (q + 1)
+        hist = np.bincount(bins, minlength=m * (q + 1))
+        counts = hist.reshape(m, q + 1).cumsum(axis=1)
+        located = np.ascontiguousarray(counts[:, ranks].T)
+        located += self.offsets[:-1] - 1
+        np.clip(located, self.offsets[:-1], self.offsets[1:] - 2, out=located)
+        return located
 
     def _cumulative_clamped(self, tc: np.ndarray, j: np.ndarray) -> np.ndarray:
         """``C_i(tc)`` given located pieces; scalar-identical arithmetic.
@@ -343,7 +355,6 @@ class PLFStore:
         "_absolute",
         "_csr",
         "_knot_set",
-        "_knot_obj",
         "_segment",
     )
 
@@ -386,7 +397,6 @@ class PLFStore:
         self._absolute: Optional["PLFStore"] = None
         self._csr: Optional[CSRView] = None
         self._knot_set: Optional[np.ndarray] = None
-        self._knot_obj: Optional[np.ndarray] = None
         self._segment = segment
 
     @classmethod
@@ -597,11 +607,6 @@ class PLFStore:
         (see :meth:`CSRView._locate`; full object range)."""
         return self.csr_view()._locate(tc, 0, self.num_objects)
 
-    def _cumulative_clamped(self, tc: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """``C_i(tc)`` given located pieces; scalar-identical arithmetic
-        (see :meth:`CSRView._cumulative_clamped`)."""
-        return self.csr_view()._cumulative_clamped(tc, j)
-
     # ------------------------------------------------------------------
     # batch primitives
     # ------------------------------------------------------------------
@@ -617,85 +622,30 @@ class PLFStore:
         """``C_i(t)`` for every object and every query time: ``(q, m)``.
 
         Work is chunked over query times so the transient ``(q, m)``
-        integer/float broadcasts stay within a bounded footprint.
-        Large chunks locate pieces with the count-matrix pass
-        (:meth:`_locate_counts` — one global ``searchsorted`` plus a
-        per-object histogram cumsum, a handful of array passes) instead
-        of the ``O(log max_n)``-round broadcast bisection; piece
-        selection and the clamped-trapezoid arithmetic are bit-identical
-        either way, so results do not depend on the chunking or the
-        path taken.
+        integer/float arrays stay within a bounded footprint.  Each
+        chunk locates its pieces with one :meth:`CSRView.locate_grid`
+        count pass, and row ``r`` is bit-identical to
+        ``cumulative_at(ts[r])`` whatever the chunking.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-        q = ts.size
-        m = self.num_objects
-        out = np.empty((q, m), dtype=np.float64)
-        step = max(1, _CHUNK_ELEMENTS // max(m, 1))
-        for lo_row in range(0, q, step):
-            flat = ts[lo_row : lo_row + step]
-            if flat.size >= _COUNT_LOCATE_MIN_QUERIES:
-                out[lo_row : lo_row + step] = self._cumulative_chunk_counts(
-                    flat
-                )
-                continue
-            chunk = flat[:, None]
-            tc = np.clip(chunk, self.starts, self.ends)
-            cum = self._cumulative_clamped(tc, self._locate(tc))
-            out[lo_row : lo_row + step] = np.where(
-                chunk <= self.starts,
-                0.0,
-                np.where(chunk >= self.ends, self.totals, cum),
-            )
+        out = np.empty((ts.size, self.num_objects), dtype=np.float64)
+        step = max(1, _CHUNK_ELEMENTS // max(self.num_objects, 1))
+        for lo_row in range(0, ts.size, step):
+            chunk = ts[lo_row : lo_row + step]
+            out[lo_row : lo_row + step] = self._cumulative_chunk(chunk)
         return out
 
-    def _locate_counts(self, ts: np.ndarray) -> np.ndarray:
-        """:meth:`_locate`'s piece selection for a whole chunk at once.
+    cumulative_at_grid = cumulative_at_many  # perfbench's tracer patches this name
 
-        ``located[r, i]`` is the flat index of the segment-left knot
-        the bisection would pick for time ``ts[r]`` on object ``i`` —
-        computed without any ``(q, m)`` bisection rounds.  One global
-        ``searchsorted`` ranks every knot among the sorted chunk
-        times; a per-object histogram of those ranks, cumsummed, gives
-        ``#{knots of i with time <= ts[r]}`` for every pair (a knot
-        counts for rank ``r`` iff fewer than ``r + 1`` chunk times lie
-        strictly below it, which is exactly ``time <= ts[r]``; ties
-        between equal chunk times cannot overcount because any knot
-        above them ranks past the whole duplicate run).  Clamping into
-        each object's segment-left range matches ``searchsorted(times,
-        t, "right") - 1`` — the documented :meth:`CSRView._locate`
-        selection — for every in-span time; out-of-span times land on
-        the first/last piece, whose value the caller's boundary masks
-        replace.
-        """
-        qc = ts.size
-        m = self.num_objects
-        order = np.argsort(ts, kind="stable")
-        ranks = np.empty(qc, dtype=np.int64)
-        ranks[order] = np.arange(qc, dtype=np.int64)
-        pos = np.searchsorted(ts[order], self.knot_times, side="left")
-        if self._knot_obj is None:
-            self._knot_obj = np.repeat(
-                np.arange(m, dtype=np.int64), np.diff(self.offsets)
-            )
-        hist = np.bincount(
-            self._knot_obj * (qc + 1) + pos, minlength=m * (qc + 1)
-        )
-        counts = hist.reshape(m, qc + 1).cumsum(axis=1)
-        located = np.ascontiguousarray(counts[:, ranks].T)
-        located += self.offsets[:-1] - 1
-        np.clip(located, self.offsets[:-1], self.offsets[1:] - 2, out=located)
-        return located
+    def _cumulative_chunk(self, ts: np.ndarray) -> np.ndarray:
+        """One chunk of :meth:`cumulative_at_many`.
 
-    def _cumulative_chunk_counts(self, ts: np.ndarray) -> np.ndarray:
-        """One chunk of :meth:`cumulative_at_many` via the count locate.
-
-        Identical arithmetic to :meth:`_cumulative_clamped` — the
-        chord slope comes from the precomputed per-segment
+        Identical arithmetic to :meth:`CSRView._cumulative_clamped` —
+        the chord slope comes from the precomputed per-segment
         :attr:`slopes` (the very same ``(v1 - v0) / (t1 - t0)``
-        division), so every float is bit-identical to the bisection
-        path.
+        division), so every float matches the single-time kernel.
         """
-        j = self._locate_counts(ts)
+        j = self.csr_view().locate_grid(ts)
         col = ts[:, None]
         tc = np.clip(col, self.starts, self.ends)
         t0 = self.knot_times[j]
@@ -713,38 +663,6 @@ class PLFStore:
         half = np.multiply(0.5, dt, out=dt)
         cum = np.multiply(half, total, out=half)
         cum = np.add(self.prefix_masses[j], cum, out=cum)
-        return np.where(
-            col <= self.starts,
-            0.0,
-            np.where(col >= self.ends, self.totals, cum),
-        )
-
-    def cumulative_at_grid(self, ts: np.ndarray) -> np.ndarray:
-        """:meth:`cumulative_at_many` for a small grid of times.
-
-        Bit-identical results (piece location is pure index selection,
-        and the clamped-trapezoid arithmetic is shared), but pieces are
-        found with one ``searchsorted`` per object over the grid
-        instead of the ``(q, m)`` broadcast bisection — much faster
-        when ``q`` is small relative to the knot counts, e.g. the
-        breakpoint grids of the QUERY1/QUERY2 index builds.
-        """
-        ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-        q = ts.size
-        m = self.num_objects
-        col = ts[:, None]
-        tc = np.clip(col, self.starts, self.ends)
-        located = np.empty((q, m), dtype=np.int64)
-        knot_times = self.knot_times
-        offsets = self.offsets
-        for i in range(m):
-            lo = offsets[i]
-            hi = offsets[i + 1]
-            # Largest knot index with time <= tc within the object's
-            # segment-left range — exactly _locate's selection.
-            piece = np.searchsorted(knot_times[lo:hi], tc[:, i], "right")
-            np.clip(piece + (lo - 1), lo, hi - 2, out=located[:, i])
-        cum = self._cumulative_clamped(tc, located)
         return np.where(
             col <= self.starts,
             0.0,
@@ -811,19 +729,21 @@ class PLFStore:
         Row ``j`` is bit-identical to ``values_at(ts[j])`` — the same
         clamp, chord interpolation, final-knot exactness fix, and
         outside-span zeroing, broadcast over query times and chunked
-        like :meth:`cumulative_at_many` to bound the transient
-        ``(q, m)`` footprint.
+        like :meth:`cumulative_at_many` (one :meth:`CSRView.locate_grid`
+        count pass per chunk) to bound the transient ``(q, m)``
+        footprint.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
         q = ts.size
         m = self.num_objects
         out = np.empty((q, m), dtype=np.float64)
         last_values = self.knot_values[self.offsets[1:] - 1]
+        view = self.csr_view()
         step = max(1, _CHUNK_ELEMENTS // max(m, 1))
         for lo_row in range(0, q, step):
             chunk = ts[lo_row : lo_row + step, None]
             tc = np.clip(chunk, self.starts, self.ends)
-            j = self._locate(tc)
+            j = view.locate_grid(ts[lo_row : lo_row + step])
             t0 = self.knot_times[j]
             v0 = self.knot_values[j]
             w = (self.knot_values[j + 1] - v0) / (self.knot_times[j + 1] - t0)

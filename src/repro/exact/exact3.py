@@ -50,6 +50,8 @@ def stab_cumulatives_many(view, ts: np.ndarray) -> np.ndarray:
     clamped-trapezoid tail, in the same operation order.  Objects the
     stab would miss (``t`` outside their span) take the scalar path's
     fallback values — 0 before the span, the total mass after it.
+    Each chunk of times is located for all objects in one
+    :meth:`~repro.core.plfstore.CSRView.locate_grid` count pass.
 
     ``view`` is a :class:`~repro.core.plfstore.CSRView`, so process
     workers can run this without the full store.
@@ -62,8 +64,7 @@ def stab_cumulatives_many(view, ts: np.ndarray) -> np.ndarray:
     step = max(1, _CHUNK_ELEMENTS // max(m, 1))
     for lo_row in range(0, q, step):
         col = ts[lo_row : lo_row + step, None]
-        tc = np.clip(col, starts, ends)
-        j = view.locate_grid(tc)
+        j = view.locate_grid(ts[lo_row : lo_row + step])
         lo = view.knot_times[j]
         hi = view.knot_times[j + 1]
         v_lo = view.knot_values[j]

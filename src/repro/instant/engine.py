@@ -146,7 +146,9 @@ class InstantIntervalTree:
         """Batched ``top-k(t)`` with the stab arithmetic vectorized.
 
         Non-knot query times locate each object's containing segment
-        on the build-time store snapshot and interpolate with exactly
+        on the build-time store snapshot (one
+        :meth:`~repro.core.plfstore.CSRView.locate_grid` count pass
+        per chunk of times) and interpolate with exactly
         the scalar stab's formula (bit-identical values), charging the
         modeled stab walk per query; knot-coincident times — where
         the stab returns two agreeing segment entries — go through
@@ -196,8 +198,7 @@ class InstantIntervalTree:
         step = max(1, _CHUNK_ELEMENTS // max(m, 1))
         for lo_row in range(0, rts.size, step):
             col = rts[lo_row : lo_row + step, None]
-            tc = np.clip(col, view.starts, view.ends)
-            j = view.locate_grid(tc)
+            j = view.locate_grid(rts[lo_row : lo_row + step])
             lo = view.knot_times[j]
             hi = view.knot_times[j + 1]
             v_lo = view.knot_values[j]

@@ -6,13 +6,24 @@ on it — breakpoint sweeps — and to 1e-9 everywhere else).  Databases
 are randomized, include negative scores, and are padded, per the ISSUE.
 """
 
+import pickle
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro
+import repro.core.plfstore as plfstore_mod
 from repro.core import PiecewiseLinearFunction, PLFStore, TemporalObject
 from repro.core.errors import ReproError
+from repro.core.plfstore import CSRView, isin_sorted
+from repro.engine import TemporalRankingEngine
+from repro.exact import exact3
+from repro.exact.exact3 import stab_cumulatives_many
 
 from _support import make_random_database, random_intervals
+from reference.locate import locate_pieces
 
 
 @pytest.fixture(scope="module", params=[False, True], ids=["positive", "negative"])
@@ -58,6 +69,170 @@ class TestCumulative:
         full = store.cumulative_at_many(ts)
         monkeypatch.setattr(mod, "_CHUNK_ELEMENTS", db.num_objects * 3)
         assert np.array_equal(store.cumulative_at_many(ts), full)
+
+
+# ----------------------------------------------------------------------
+# multi-time piece locate (CSRView.locate_grid)
+# ----------------------------------------------------------------------
+def _view_over_knots(per_object):
+    """A CSRView over raw per-object knot times.
+
+    The locate reads only ``knot_times`` and ``offsets``, so the value
+    arrays are placeholders and knot times may repeat (zero-width
+    segments), which a validated function would reject.
+    """
+    knot_times = np.concatenate(per_object)
+    offsets = np.zeros(len(per_object) + 1, dtype=np.int64)
+    np.cumsum([k.size for k in per_object], out=offsets[1:])
+    zeros = np.zeros_like(knot_times)
+    return CSRView(
+        knot_times,
+        zeros,
+        offsets,
+        zeros,
+        knot_times[offsets[:-1]],
+        knot_times[offsets[1:] - 1],
+        np.zeros(len(per_object)),
+    )
+
+
+@st.composite
+def locate_cases(draw):
+    """1-6 objects of 2-8 sorted knots on a coarse grid, plus times.
+
+    The grid makes knot times repeat within an object (zero-width
+    segments) and across objects; two knots make a single-segment
+    object; spans differ, so times fall before, inside and after each
+    object's span.  Times are unsorted, may repeat, and include knot
+    times exactly.
+    """
+    objects = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(2, 8))
+        knots = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+        objects.append(np.sort(np.asarray(knots, dtype=np.float64)))
+    knot_values = sorted({float(t) for k in objects for t in k})
+    time = st.one_of(
+        st.sampled_from(knot_values),
+        st.floats(-5.0, 25.0),
+        st.integers(-3, 23).map(float),
+    )
+    times = draw(st.lists(time, min_size=1, max_size=40))
+    return objects, np.asarray(times, dtype=np.float64)
+
+
+_CHUNK_DB = make_random_database(num_objects=12, avg_segments=8, seed=23)
+
+
+class TestLocateGrid:
+    @settings(max_examples=200, deadline=None)
+    @given(locate_cases())
+    def test_matches_per_object_searchsorted(self, case):
+        objects, ts = case
+        view = _view_over_knots(objects)
+        ref = locate_pieces(view.knot_times, view.offsets, ts)
+        assert np.array_equal(view.locate_grid(ts), ref)
+        # q = 1, and a repeat call on the warm knot-owner cache.
+        assert np.array_equal(view.locate_grid(ts[:1]), ref[:1])
+        assert np.array_equal(view.locate_grid(ts), ref)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-10.0, 110.0),
+                st.sampled_from(_CHUNK_DB.store().knot_times.tolist()),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(1, 4),
+    )
+    def test_chunked_kernels_match_single_time(self, times, rows):
+        """Batches spanning several ``_CHUNK_ELEMENTS`` chunks: every
+        row is bit-identical to the single-time (bisection) kernel, and
+        the chunked stab to the unchunked one."""
+        store = _CHUNK_DB.store()
+        view = store.csr_view()
+        ts = np.asarray(times, dtype=np.float64)
+        stab = stab_cumulatives_many(view, ts)
+        step = store.num_objects * rows
+        with (
+            mock.patch.object(plfstore_mod, "_CHUNK_ELEMENTS", step),
+            mock.patch.object(exact3, "_CHUNK_ELEMENTS", step),
+        ):
+            cums = store.cumulative_at_many(ts)
+            values = store.values_at_many(ts)
+            assert stab_cumulatives_many(view, ts).tobytes() == stab.tobytes()
+        for row, t in enumerate(ts):
+            assert cums[row].tobytes() == store.cumulative_at(t).tobytes()
+            assert values[row].tobytes() == store.values_at(t).tobytes()
+
+    def test_cumulative_at_grid_is_cumulative_at_many(self):
+        assert PLFStore.cumulative_at_grid is PLFStore.cumulative_at_many
+
+    def test_stab_bit_identical_to_scalar_stab(self, tmp_path):
+        """The batched stab equals ``Exact3._cumulatives_at`` bit for bit
+        at non-knot times, on an in-memory and an mmap-mounted view."""
+        db = make_random_database(num_objects=20, avg_segments=10, seed=31)
+        engine = TemporalRankingEngine(db)
+        engine.snapshot(tmp_path / "snap")
+        mounted = repro.open(tmp_path / "snap")
+        rng = np.random.default_rng(8)
+        ts = rng.uniform(-10.0, 110.0, 80)
+        ts = ts[~isin_sorted(db.store().knot_time_set(), ts)]
+        ts = np.concatenate([ts, ts[:5]])  # unsorted, with duplicates
+        for eng in (engine, mounted):
+            view = eng.database.store().csr_view()
+            batched = stab_cumulatives_many(view, ts)
+            for row, t in enumerate(ts):
+                scalar = eng.exact._cumulatives_at(float(t))
+                assert batched[row].tobytes() == scalar.tobytes()
+        assert mounted.database.store().csr_view().segment is not None
+
+
+class TestViewPickle:
+    """The knot-owner cache the locate fills never travels with a view."""
+
+    _ARRAYS = (
+        "knot_times",
+        "knot_values",
+        "offsets",
+        "prefix_masses",
+        "starts",
+        "ends",
+        "totals",
+    )
+    _TIMES = np.asarray([70.0, 5.0, 50.0, 5.0])
+
+    def test_in_memory_view_ships_only_kernel_arrays(self):
+        db = make_random_database(num_objects=15, avg_segments=12, seed=6)
+        view = db.store().csr_view()
+        cold = pickle.dumps(view)
+        located = view.locate_grid(self._TIMES)
+        assert view._knot_obj is not None
+        warm = pickle.dumps(view)
+        assert warm == cold
+        assert len(warm) < sum(getattr(view, a).nbytes for a in self._ARRAYS) + 2048
+        clone = pickle.loads(warm)
+        for name in self._ARRAYS:
+            assert np.array_equal(getattr(clone, name), getattr(view, name))
+        assert clone._knot_obj is None
+        assert np.array_equal(clone.locate_grid(self._TIMES), located)
+        assert np.array_equal(clone._knot_obj, view._knot_obj)
+
+    def test_segment_backed_view_pickles_as_its_path(self, tmp_path):
+        db = make_random_database(num_objects=15, avg_segments=12, seed=6)
+        TemporalRankingEngine(db).snapshot(tmp_path / "snap")
+        view = repro.open(tmp_path / "snap").database.store().csr_view()
+        located = view.locate_grid(self._TIMES)
+        assert view._knot_obj is not None
+        blob = pickle.dumps(view)
+        assert len(blob) < 256
+        clone = pickle.loads(blob)
+        assert clone.segment == view.segment
+        assert clone._knot_obj is None
+        assert np.array_equal(clone.locate_grid(self._TIMES), located)
 
 
 class TestIntegrals:
